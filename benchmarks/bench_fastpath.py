@@ -1,18 +1,15 @@
 """Fast path vs oracle: the acceptance gate for ``repro.fastpath``.
 
-For each workload the scalar oracle (``fastpath="off"``) and the batched
-fast path run the same serial ``TBNmc`` search under the ``C_out`` cost
+For each workload the scalar oracle (``TBNmc``) and the batched fast
+path (``TBNmc!fast``) run the same serial search under the ``C_out`` cost
 model — the combination ``repro profile`` bills ~81 % of wall time to
 (``cost.eval`` + ``enum.recurse``).  Every fast-path plan is asserted
 *bit-identical* to the oracle's (``Plan.__eq__``: shape, operators,
 exact costs) before any timing is reported, so the speedup table can
 never hide a correctness regression.
 
-The gate: the pure-python batch backend must reach ``SPEEDUP_BAR``
-(1.5x) over the oracle on the dense gate workloads (clique-10, star-10).
-The python backend is the one measured because it is the
-always-available floor — numpy, when importable, is timed as an extra
-row but never gates (CI's test matrix runs numpy-free).
+The gate: the fast path must reach ``SPEEDUP_BAR`` (1.5x) over the
+oracle on the dense gate workloads (clique-10, star-10).
 
 Results go to ``BENCH_fastpath.json`` via :mod:`benchmarks.bench_io`.
 """
@@ -22,7 +19,6 @@ from __future__ import annotations
 import json
 
 from repro.cost import CoutCostModel
-from repro.fastpath.detect import available_backends
 from repro.obs.timing import clock
 from repro.registry import make_optimizer
 from repro.workloads import clique, star
@@ -41,7 +37,7 @@ WORKLOADS = (
     ("star12", weighted_query(star(12), 3), False),
 )
 
-#: Minimum python-backend speedup over the serial oracle on gate rows.
+#: Minimum fast-path speedup over the serial oracle on gate rows.
 SPEEDUP_BAR = 1.5
 
 
@@ -61,38 +57,29 @@ def _best_of(build, repeats: int = 3) -> tuple[float, object]:
 
 
 def test_emit_fastpath_speedup_json():
-    backends = available_backends()
     rows = {}
     for name, query, gate in WORKLOADS:
         oracle_s, oracle_plan = _best_of(
+            lambda q=query: make_optimizer(ALGORITHM, q, CoutCostModel())
+        )
+        fast_s, fast_plan = _best_of(
             lambda q=query: make_optimizer(
-                ALGORITHM, q, CoutCostModel(), fastpath="off"
+                f"{ALGORITHM}!fast", q, CoutCostModel()
             )
         )
-        row = {
+        assert fast_plan.cost == oracle_plan.cost, name
+        assert fast_plan == oracle_plan, name
+        rows[name] = {
             "n": query.n,
             "oracle_s": oracle_s,
+            "fast_s": fast_s,
+            "speedup": oracle_s / fast_s if fast_s > 0 else None,
             "gate": gate,
-            "backends": {},
         }
-        for backend in backends:
-            fast_s, fast_plan = _best_of(
-                lambda q=query, b=backend: make_optimizer(
-                    f"{ALGORITHM}!fast", q, CoutCostModel(), fastpath_backend=b
-                )
-            )
-            assert fast_plan.cost == oracle_plan.cost, (name, backend)
-            assert fast_plan == oracle_plan, (name, backend)
-            row["backends"][backend] = {
-                "elapsed_s": fast_s,
-                "speedup": oracle_s / fast_s if fast_s > 0 else None,
-            }
-        rows[name] = row
 
     payload = {
         "algorithm": f"{ALGORITHM}!fast",
         "cost_model": "cout",
-        "backends": list(backends),
         "speedup_bar": SPEEDUP_BAR,
         "workloads": rows,
     }
@@ -102,13 +89,11 @@ def test_emit_fastpath_speedup_json():
     assert set(loaded["workloads"]) == {name for name, _, _ in WORKLOADS}
 
     gate_ratios = {
-        name: row["backends"]["python"]["speedup"]
-        for name, row in rows.items()
-        if row["gate"]
+        name: row["speedup"] for name, row in rows.items() if row["gate"]
     }
     worst = min(gate_ratios, key=gate_ratios.get)
     assert gate_ratios[worst] >= SPEEDUP_BAR, (
-        f"python-backend fast path must be >={SPEEDUP_BAR}x the oracle on "
+        f"the fast path must be >={SPEEDUP_BAR}x the oracle on "
         f"every gate workload; {worst} measured {gate_ratios[worst]:.2f}x "
         f"(all: { {k: round(v, 2) for k, v in gate_ratios.items()} })"
     )

@@ -13,7 +13,8 @@ Grammar (whitespace-separated tokens, ``;`` splits the two sections)::
     predicates := predicate+
     predicate  := NAME '-' NAME ':' SELECTIVITY
 
-Numbers accept scientific notation.  The resulting join graph must be
+Numbers accept scientific notation.  Cardinalities must be finite and
+non-negative, relation names unique, and the resulting join graph
 connected.
 
 Parse failures raise :class:`QuerySyntaxError` carrying the character
@@ -25,6 +26,7 @@ of echoing a bare message.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterator, Optional
 
@@ -121,14 +123,23 @@ def parse_query(text: str) -> Query:
                 position=offset,
                 text=text,
             )
+        name = match.group("name")
+        card_text = match.group("card")
         card_offset = offset + match.start("card")
-        catalog.add_relation(
-            match.group("name"),
-            _number(
-                match.group("card"), "cardinality",
-                position=card_offset, source=text,
-            ),
+        cardinality = _number(
+            card_text, "cardinality", position=card_offset, source=text
         )
+        if not (math.isfinite(cardinality) and cardinality >= 0):
+            raise QuerySyntaxError(
+                f"bad cardinality: {card_text!r}; expected a finite "
+                "number >= 0",
+                position=card_offset,
+                text=text,
+            )
+        try:
+            catalog.add_relation(name, cardinality)
+        except ValueError as exc:
+            raise QuerySyntaxError(str(exc), position=offset, text=text) from None
 
     for token, offset in _tokens(predicate_section, predicate_base):
         match = _PREDICATE.match(token)

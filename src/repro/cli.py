@@ -43,6 +43,8 @@ import sys
 
 from repro.analysis.metrics import Metrics
 from repro.anytime import Budget
+from repro.catalog.parser import QuerySyntaxError
+from repro.enumerator import OptimizationError
 from repro.experiments import EXPERIMENTS
 from repro.obs import (
     MetricsRegistry,
@@ -184,7 +186,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         memo_capacity=getattr(args, "memo_capacity", None),
         memo_cold_capacity=getattr(args, "memo_cold_capacity", None),
         memo_profile=memo_profile,
-        fastpath=getattr(args, "fastpath", None),
         budget=budget,
         top_k=top_k,
     )
@@ -259,9 +260,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "path": args.profile_out,
                 "kernels": [row["kernel"] for row in profile_report["kernels"]],
             }
-        fastpath_backend = getattr(optimizer, "fastpath_backend", None)
-        if fastpath_backend is not None:
-            payload["fastpath"] = {"backend": fastpath_backend}
+        batch_mode = getattr(optimizer, "batch_mode", None)
+        if batch_mode is not None:
+            payload["fastpath"] = {"mode": batch_mode}
         if parallel_info is not None:
             payload["parallel"] = parallel_info
         if anytime_report is not None:
@@ -279,9 +280,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         return 0
     print(f"query: {query.describe()}")
     print(f"algorithm: {args.algorithm}  ({elapsed * 1e3:.2f} ms)")
-    fastpath_backend = getattr(optimizer, "fastpath_backend", None)
-    if fastpath_backend is not None:
-        print(f"fastpath: {fastpath_backend} batch backend")
+    batch_mode = getattr(optimizer, "batch_mode", None)
+    if batch_mode is not None:
+        print(f"fastpath: {batch_mode} batch kernel")
     if parallel_info is not None:
         print(
             f"parallel: {parallel_info['workers']} workers, "
@@ -805,7 +806,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             tenant_rate=args.tenant_rate,
             tenant_burst=args.tenant_burst,
-            fastpath=args.fastpath,
         )
 
     if args.once:
@@ -951,12 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--memo-profile", metavar="PATH",
         help="offline recompute weights from 'repro profile-memo' "
              "(used by --memo-policy profile)",
-    )
-    optimize.add_argument(
-        "--fastpath", choices=["auto", "on", "off"], default=None,
-        help="batched fast path (repro.fastpath): on forces it, off pins "
-             "the scalar oracle, auto (default) honours a !fast algorithm "
-             "suffix; REPRO_FASTPATH=off overrides everything",
     )
     optimize.add_argument(
         "--budget-ms", type=float, metavar="MS",
@@ -1231,17 +1225,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the --once report as machine-readable JSON",
     )
-    serve.add_argument(
-        "--fastpath", choices=["auto", "on", "off"], default=None,
-        help="batched fast path for every served optimization "
-             "(see 'repro optimize --fastpath')",
-    )
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A user error — a malformed query or algorithm name, a refused
+    option combination, or a query with no plan — prints
+    ``repro: error: <message>`` to stderr and exits 2, like argparse's
+    own usage errors.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "list-algorithms": _cmd_list_algorithms,
@@ -1256,7 +1251,14 @@ def main(argv: list[str] | None = None) -> int:
         "lint": _cmd_lint,
         "serve": _cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OptimizationError) as exc:
+        where = ""
+        if isinstance(exc, QuerySyntaxError) and exc.line is not None:
+            where = f" (line {exc.line}, column {exc.column})"
+        print(f"repro: error: {exc}{where}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

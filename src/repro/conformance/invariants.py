@@ -34,8 +34,8 @@ suite, the differential fuzzer (:mod:`repro.conformance.fuzz`), and the
 ``fastpath-parity``
     The batched fast path (:mod:`repro.fastpath`) returns plans that
     compare *equal* — same shape, same operators, bit-identical costs —
-    to the scalar oracle's, on every available batch backend, for both
-    exhaustive and branch-and-bound search.
+    to the scalar oracle's, for both exhaustive and branch-and-bound
+    search.
 ``topk-soundness``
     Ranked enumeration (``optimize_topk``, ``docs/anytime.md``) is an
     extension, not a reinterpretation: rank 0 is *bit-identical* to the
@@ -64,7 +64,6 @@ from repro.analysis.metrics import Metrics
 from repro.catalog.query import Query
 from repro.conformance.oracles import is_minimal_cut, space_partition_pairs
 from repro.core.joingraph import JoinGraph
-from repro.fastpath.detect import available_backends
 from repro.partition import (
     MinCutEager,
     MinCutLazy,
@@ -418,43 +417,32 @@ def check_fastpath_parity(
 
     For each (oracle, fast) pair the fast configuration must return a
     plan comparing *equal* to the oracle's — same shape, same operators,
-    bit-identical costs — on every batch backend this environment can
-    build.  ``fastpath="off"`` pins the oracle side even when
-    ``REPRO_FASTPATH=on`` is ambient; under ``REPRO_FASTPATH=off`` both
-    sides run the oracle and the check degenerates to a no-op, which is
-    exactly what the escape hatch promises.
+    bit-identical costs.
     """
     violations: list[Violation] = []
     for oracle_name, fast_name in pairs:
-        oracle_plan = make_optimizer(
-            oracle_name, query, fastpath="off"
-        ).optimize()
-        for backend in available_backends():
-            fast_plan = make_optimizer(
-                fast_name, query, fastpath_backend=backend
-            ).optimize()
-            if fast_plan != oracle_plan:
-                cost_note = (
-                    "costs differ"
-                    if _costs_differ(fast_plan.cost, oracle_plan.cost)
-                    else "costs agree but shapes/operators differ"
+        oracle_plan = make_optimizer(oracle_name, query).optimize()
+        fast_plan = make_optimizer(fast_name, query).optimize()
+        if fast_plan != oracle_plan:
+            cost_note = (
+                "costs differ"
+                if _costs_differ(fast_plan.cost, oracle_plan.cost)
+                else "costs agree but shapes/operators differ"
+            )
+            violations.append(
+                Violation(
+                    "fastpath-parity",
+                    f"{fast_name} returned a plan != oracle {oracle_name} "
+                    f"on {query.describe()}: {cost_note} (fast "
+                    f"{fast_plan.cost!r}, oracle {oracle_plan.cost!r})",
+                    _graph_subject(
+                        query.graph,
+                        algorithm=fast_name,
+                        fast_cost=fast_plan.cost,
+                        oracle_cost=oracle_plan.cost,
+                    ),
                 )
-                violations.append(
-                    Violation(
-                        "fastpath-parity",
-                        f"{fast_name} ({backend} backend) returned a plan "
-                        f"!= oracle {oracle_name} on {query.describe()}: "
-                        f"{cost_note} (fast {fast_plan.cost!r}, oracle "
-                        f"{oracle_plan.cost!r})",
-                        _graph_subject(
-                            query.graph,
-                            algorithm=fast_name,
-                            backend=backend,
-                            fast_cost=fast_plan.cost,
-                            oracle_cost=oracle_plan.cost,
-                        ),
-                    )
-                )
+            )
     return violations
 
 
@@ -596,27 +584,19 @@ def check_topk_soundness(
                         )
                     )
     for oracle_name, fast_name in TOPK_PARITY_PAIRS:
-        oracle_ranked = make_optimizer(
-            oracle_name, query, fastpath="off"
-        ).optimize_topk(k)
-        for backend in available_backends():
-            fast_ranked = make_optimizer(
-                fast_name, query, fastpath_backend=backend
-            ).optimize_topk(k)
-            if [p.to_wire() for p in fast_ranked] != [
-                p.to_wire() for p in oracle_ranked
-            ]:
-                violations.append(
-                    Violation(
-                        "topk-soundness",
-                        f"{fast_name} ({backend} backend) ranked list "
-                        f"diverges from oracle {oracle_name} on "
-                        f"{query.describe()}",
-                        _graph_subject(
-                            query.graph, algorithm=fast_name, backend=backend
-                        ),
-                    )
+        oracle_ranked = make_optimizer(oracle_name, query).optimize_topk(k)
+        fast_ranked = make_optimizer(fast_name, query).optimize_topk(k)
+        if [p.to_wire() for p in fast_ranked] != [
+            p.to_wire() for p in oracle_ranked
+        ]:
+            violations.append(
+                Violation(
+                    "topk-soundness",
+                    f"{fast_name} ranked list diverges from oracle "
+                    f"{oracle_name} on {query.describe()}",
+                    _graph_subject(query.graph, algorithm=fast_name),
                 )
+            )
     return violations
 
 

@@ -3,51 +3,32 @@
 Two measured hot kernels (``cost.eval`` ~50 % and ``enum.recurse`` ~31 %
 of wall, BENCH_profile.json) run here behind a drop-in fast path:
 
-* :class:`BatchCostKernel` — vectorised operator costs over a whole
-  candidate frontier (numpy when importable, a pure-python batch
-  otherwise), fed by :class:`OperandStats` per-subset memos;
+* :class:`BatchCostKernel` — operator costs over a whole candidate
+  frontier in one pure-python batch, fed by :class:`OperandStats`
+  per-subset memos;
 * :class:`FastTopDownEnumerator` — the oracle's Algorithm 1/7 loops
   restructured around the batch kernel, building plan nodes only for
   improving candidates.
 
 Selection: the registry's ``!fast`` name suffix (``TBNmc!fast``,
-composing with ``@N`` and ``%policy``), ``--fastpath on|off|auto`` on
-the CLI and ``repro serve``, or ``REPRO_FASTPATH=on``;
-``REPRO_FASTPATH=off`` is the global escape hatch.  The pure-python
-oracle stays the default and the conformance reference: ``repro verify``
-pins bit-identical plans and 1e-9 cost agreement between the paths on
-every fuzz case (the ``fastpath-parity`` invariant).
+composing with ``@N``, ``%policy``, ``?budget`` and ``^k``) is the only
+switch.  The pure-python oracle stays the default and the conformance
+reference: ``repro verify`` pins bit-identical plans and 1e-9 cost
+agreement between the paths on every fuzz case (the ``fastpath-parity``
+invariant).
 
-See ``docs/performance.md`` for the architecture, the oracle contract,
-and the optional mypyc-compiled core (``pip install -e .[compiled]``).
+See ``docs/performance.md`` for the architecture and the oracle
+contract.
 """
 
 from __future__ import annotations
 
 from repro.fastpath.batch import BatchCostKernel
-from repro.fastpath.detect import (
-    FASTPATH_ENV,
-    available_backends,
-    compiled_core_active,
-    default_backend,
-    fastpath_mode,
-    is_compiled,
-    numpy_or_none,
-    resolve_fastpath,
-)
 from repro.fastpath.enumerator import FastTopDownEnumerator
 from repro.fastpath.stats import OperandStats
 
 __all__ = [
-    "FASTPATH_ENV",
     "BatchCostKernel",
     "FastTopDownEnumerator",
     "OperandStats",
-    "available_backends",
-    "compiled_core_active",
-    "default_backend",
-    "fastpath_mode",
-    "is_compiled",
-    "numpy_or_none",
-    "resolve_fastpath",
 ]

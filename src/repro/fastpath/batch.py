@@ -7,16 +7,16 @@ those per-candidate calls with one evaluation over the full frontier of
 an expression, specialised by exact cost-model type:
 
 * :class:`~repro.cost.io_model.CostModel` (the textbook I/O model) —
-  the bnl/hash formulas are evaluated as numpy float64 array expressions
-  in the *same operation order* as the scalar code (add, multiply,
-  divide, and ceil are exact IEEE-754 operations, so same inputs + same
-  order = bit-identical outputs); sort-merge costs are gathered from
-  per-subset scalars memoized in :class:`~repro.fastpath.stats.OperandStats`
-  (``external_sort_cost`` contains a logarithm, which is *not* exact, so
-  it is never re-derived vectorised).
+  the bnl/hash formulas are evaluated over memoized operand pages in
+  the *same operation order* as the scalar code (add, multiply, divide,
+  and ceil are exact IEEE-754 operations, so same inputs + same order =
+  bit-identical outputs); sort-merge costs are gathered from per-subset
+  scalars memoized in :class:`~repro.fastpath.stats.OperandStats`
+  (``external_sort_cost`` contains a logarithm, so it is computed once
+  per subset by the scalar model and never re-derived).
 * :class:`~repro.cost.cout_model.CoutCostModel` — an operator's cost is
   its output cardinality, so the batch is a pure gather of memoized
-  cardinalities (numpy adds nothing to a gather; both backends share it).
+  cardinalities.
 * any other subclass — per-candidate scalar fallback through the
   model's own ``operator_cost``/``lower_bound`` hooks, so exotic models
   keep working under ``!fast`` unchanged.
@@ -25,20 +25,18 @@ Predicted-bound batches use the scalar formulas over memoized stats for
 every mode: they are single additions, where gather cost dominates and
 exactness is free.
 
-The ``python`` backend performs the identical batch restructuring
-without numpy — it is the default-available fallback the acceptance
-gate measures, and the only backend in numpy-free environments.
+The kernel is pure python: with only a few operations per candidate,
+array round-trips would cost more than they save.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.catalog.query import Query
 from repro.cost.cout_model import CoutCostModel
 from repro.cost.io_model import CostModel
-from repro.fastpath.detect import default_backend, numpy_or_none
 from repro.fastpath.stats import OperandStats
 
 __all__ = ["BatchCostKernel"]
@@ -48,22 +46,21 @@ _IO_METHOD_OPS = ("bnl", "hash", "smj")
 
 
 class BatchCostKernel:
-    """Vectorised operator costs and lower bounds over candidate pairs.
+    """Batched operator costs and lower bounds over candidate pairs.
 
     ``operator_costs(pairs)`` returns, per candidate ``(left, right)``,
     one tuple of operator costs aligned with ``model.JOIN_METHODS`` —
     each bit-identical to ``model.operator_cost(query, method, left,
     right)``.  ``lower_bounds(pairs)`` mirrors ``model.lower_bound``.
+    ``mode`` names the specialisation (``io``, ``cout`` or ``generic``).
     """
 
-    __slots__ = ("query", "model", "stats", "mode", "backend", "_np")
+    __slots__ = ("query", "model", "stats", "mode")
 
-    def __init__(
-        self,
-        query: Query,
-        model: CostModel,
-        backend: str | None = None,
-    ) -> None:
+    #: The one batch implementation; reported next to ``mode``.
+    backend = "python"
+
+    def __init__(self, query: Query, model: CostModel) -> None:
         self.query = query
         self.model = model
         self.stats = OperandStats(query, model)
@@ -76,20 +73,6 @@ class BatchCostKernel:
             self.mode = "io"
         else:
             self.mode = "generic"
-        if backend is None:
-            backend = default_backend()
-        if backend not in {"python", "numpy"}:
-            raise ValueError(
-                f"unknown fastpath backend {backend!r}; use python or numpy"
-            )
-        if backend == "numpy" and numpy_or_none() is None:
-            raise ValueError(
-                "numpy backend requested but numpy is not importable"
-            )
-        # Only the I/O formulas vectorise; a gather or a generic scalar
-        # fallback gains nothing from array round-trips.
-        self.backend = backend if self.mode == "io" else "python"
-        self._np: Any = numpy_or_none() if self.backend == "numpy" else None
 
     # -- operator costs ----------------------------------------------------------
 
@@ -104,9 +87,7 @@ class BatchCostKernel:
                 for cost in [cardinality(left | right) for left, right in pairs]
             ]
         if self.mode == "io":
-            if self._np is not None:
-                return self._io_costs_numpy(pairs)
-            return self._io_costs_python(pairs)
+            return self._io_costs(pairs)
         model = self.model
         query = self.query
         methods = model.JOIN_METHODS
@@ -118,7 +99,7 @@ class BatchCostKernel:
             for left, right in pairs
         ]
 
-    def _io_costs_python(
+    def _io_costs(
         self, pairs: Sequence[tuple[int, int]]
     ) -> list[tuple[float, ...]]:
         pages = self.stats.pages
@@ -133,26 +114,6 @@ class BatchCostKernel:
             smj = sort_cost(left) + sort_cost(right) + left_pages + right_pages
             out.append((bnl, hash_cost, smj))
         return out
-
-    def _io_costs_numpy(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> list[tuple[float, ...]]:
-        np = self._np
-        pages = self.stats.pages
-        sort_cost = self.stats.sort_cost
-        left_pages = np.array([pages(left) for left, _right in pairs])
-        right_pages = np.array([pages(right) for _left, right in pairs])
-        left_sorts = np.array([sort_cost(left) for left, _right in pairs])
-        right_sorts = np.array([sort_cost(right) for _left, right in pairs])
-        # Same formulas, same operation order as the scalar model: ceil,
-        # +, *, / are exact IEEE-754 operations, so these arrays are
-        # bit-identical to per-candidate `join_operator_cost` results.
-        bnl = left_pages + np.ceil(
-            left_pages / (self.model.buffer_pages - 2)
-        ) * right_pages
-        hash_cost = 3.0 * (left_pages + right_pages)
-        smj = left_sorts + right_sorts + left_pages + right_pages
-        return list(zip(bnl.tolist(), hash_cost.tolist(), smj.tolist()))
 
     # -- predicted-cost lower bounds ---------------------------------------------
 

@@ -22,10 +22,15 @@ the fast path returns plans that compare equal (``Plan.__eq__``, i.e.
 shape, operators, and exact costs) to the oracle's — enforced per fuzz
 case by the ``fastpath-parity`` invariant of :mod:`repro.conformance`.
 
-Metrics are conserved exactly (``logical_joins_enumerated``,
-``join_operators_costed``, ``predicted_prunes``, the partition and
-time-between-joins histograms), so the Table 2 closed-form gates hold
-unchanged under ``!fast``.
+Metrics (``logical_joins_enumerated``, ``join_operators_costed``,
+``predicted_prunes``, the partition and time-between-joins histograms)
+match the oracle's on every search that runs to completion, so the
+Table 2 closed-form gates hold unchanged under ``!fast``.  Known
+exception: when an anytime budget interrupts the unbudgeted loop below,
+the interrupted frames have already emitted their whole partition
+frontier, and their ``join_operators_costed`` is lost because the loop
+adds it after the scan (``perfbench``'s constrained clique-7 query under
+``?31n`` reports 288 operators costed against the oracle's 372).
 
 Interesting orders (``order is not None``) and kernel profiling keep the
 oracle code paths: ordered requests hit method-filtered loops the batch
@@ -50,9 +55,8 @@ __all__ = ["FastTopDownEnumerator"]
 class FastTopDownEnumerator(TopDownEnumerator):
     """Top-down partition search with frontier-batched costing.
 
-    Accepts every :class:`TopDownEnumerator` parameter plus ``backend``
-    (``"python"`` | ``"numpy"`` | ``None`` for auto-detection).  Refuses
-    a kernel profiler: profiled runs must use the oracle so ``cost.eval``
+    Accepts every :class:`TopDownEnumerator` parameter.  Refuses a
+    kernel profiler: profiled runs must use the oracle so ``cost.eval``
     attribution reflects the scalar calls being profiled.
     """
 
@@ -61,8 +65,6 @@ class FastTopDownEnumerator(TopDownEnumerator):
         query: Query,
         partition: PartitionStrategy,
         cost_model: CostModel | None = None,
-        *,
-        backend: str | None = None,
         **kwargs: Any,
     ) -> None:
         super().__init__(query, partition, cost_model, **kwargs)
@@ -70,14 +72,14 @@ class FastTopDownEnumerator(TopDownEnumerator):
             raise ValueError(
                 "the fast path batches cost evaluation and cannot honour "
                 "per-call kernel attribution; profile the oracle path "
-                "(REPRO_FASTPATH=off / no !fast suffix) instead"
+                "(drop the !fast suffix) instead"
             )
-        self._batch = BatchCostKernel(query, self.cost_model, backend=backend)
+        self._batch = BatchCostKernel(query, self.cost_model)
 
     @property
-    def fastpath_backend(self) -> str:
-        """The batch backend in use (``python`` or ``numpy``)."""
-        return self._batch.backend
+    def batch_mode(self) -> str:
+        """The batch kernel's specialisation (``io``, ``cout``, ``generic``)."""
+        return self._batch.mode
 
     def _topk_operator_cost_rows(
         self, pairs: Sequence[tuple[int, int]]

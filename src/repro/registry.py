@@ -34,8 +34,8 @@ A trailing ``!fast`` requests the conformance-checked fast path
 (:mod:`repro.fastpath`): the same top-down search with frontier-batched
 costing, bit-identical plans.  It composes with the other suffixes in
 any order; the canonical form puts it last (``TBNmc@2%cost:64!fast``).
-``REPRO_FASTPATH=off`` overrides the suffix everywhere (see
-:func:`repro.fastpath.detect.resolve_fastpath` for the precedence).
+It is the only fast-path switch: there is no flag, argument or
+environment variable that turns the fast path on or off.
 
 A trailing ``?budget`` requests anytime search (``docs/anytime.md``):
 ``TBNmc?250ms`` bounds wall clock, ``TBNmc?5000n`` bounds memo-missed
@@ -63,7 +63,6 @@ from repro.cost.io_model import CostModel
 from repro.cache.costing import CostProfile
 from repro.cache.policies import POLICY_NAMES
 from repro.enumerator import Bounding, TopDownEnumerator
-from repro.fastpath.detect import resolve_fastpath
 from repro.fastpath.enumerator import FastTopDownEnumerator
 from repro.memo import GlobalPlanCache, MemoTable
 from repro.obs.profile import KernelProfiler
@@ -173,6 +172,29 @@ class MemoSpec:
     cold_capacity: int | None = 0
 
 
+#: The characters that introduce a name suffix.
+_SUFFIX_MARKS = "@%!?^"
+
+
+def _split_suffix(name: str, mark: str) -> tuple[str, str | None]:
+    """Cut the ``mark``-introduced suffix out of an algorithm name.
+
+    Returns ``(rest, token)``: ``token`` is the text after the first
+    ``mark`` up to the next *other* suffix mark (``None`` when ``name``
+    has no ``mark``), and ``rest`` is ``name`` without the suffix, with
+    whatever suffixes followed it reattached.
+    """
+    base, sep, tail = name.partition(mark)
+    if not sep:
+        return name, None
+    end = len(tail)
+    for index, char in enumerate(tail):
+        if char in _SUFFIX_MARKS and char != mark:
+            end = index
+            break
+    return base + tail[end:], tail[:end]
+
+
 def split_memo_policy(name: str) -> tuple[str, MemoSpec | None]:
     """Split a ``base%policy[:capacity[:cold]]`` name into ``(base, spec)``.
 
@@ -180,14 +202,9 @@ def split_memo_policy(name: str) -> tuple[str, MemoSpec | None]:
     count trailing the memo spec (``TBNmc%cost:64@2``) is reattached to
     the returned base name.  Names without ``%`` return ``(name, None)``.
     """
-    base, sep, tail = name.partition("%")
-    if not sep:
+    base, tail = _split_suffix(name, "%")
+    if tail is None:
         return name, None
-    for index, char in enumerate(tail):
-        if char in "@!?^":
-            base += tail[index:]
-            tail = tail[:index]
-            break
     parts = tail.split(":")
     policy = parts[0].lower()
     if policy not in POLICY_NAMES:
@@ -223,14 +240,9 @@ def split_workers(name: str) -> tuple[str, int | None]:
     ``N`` is the requested parallel worker count; names without the
     suffix return ``(name, None)``.
     """
-    base, sep, tail = name.partition("@")
-    if not sep:
+    base, token = _split_suffix(name, "@")
+    if token is None:
         return name, None
-    token, rest = tail, ""
-    for index, char in enumerate(tail):
-        if char in "%!?^":
-            token, rest = tail[:index], tail[index:]
-            break
     try:
         workers = int(token)
     except ValueError:
@@ -240,7 +252,7 @@ def split_workers(name: str) -> tuple[str, int | None]:
             f"invalid worker count in algorithm name {name!r}; "
             "expected e.g. TBNmc@4"
         )
-    return base + rest, workers
+    return base, workers
 
 
 def split_fastpath(name: str) -> tuple[str, bool]:
@@ -251,20 +263,15 @@ def split_fastpath(name: str) -> tuple[str, bool]:
     the ``fast`` token is reattached to the returned base.  Names
     without ``!`` return ``(name, False)``.
     """
-    base, sep, tail = name.partition("!")
-    if not sep:
+    base, token = _split_suffix(name, "!")
+    if token is None:
         return name, False
-    token, rest = tail, ""
-    for index, char in enumerate(tail):
-        if char in "@%?^":
-            token, rest = tail[:index], tail[index:]
-            break
     if token.lower() != "fast":
         raise ValueError(
             f"unknown !-suffix in algorithm name {name!r}; "
             "the only recognised form is !fast"
         )
-    return base + rest, True
+    return base, True
 
 
 def split_budget(name: str) -> tuple[str, Budget | None]:
@@ -276,21 +283,16 @@ def split_budget(name: str) -> tuple[str, Budget | None]:
     is reattached to the returned base.  Names without ``?`` return
     ``(name, None)``.
     """
-    base, sep, tail = name.partition("?")
-    if not sep:
+    base, token = _split_suffix(name, "?")
+    if token is None:
         return name, None
-    token, rest = tail, ""
-    for index, char in enumerate(tail):
-        if char in "@%!^":
-            token, rest = tail[:index], tail[index:]
-            break
     try:
         budget = Budget.parse_token(token)
     except ValueError as error:
         raise ValueError(
             f"invalid ?budget suffix in algorithm name {name!r}: {error}"
         ) from None
-    return base + rest, budget
+    return base, budget
 
 
 def split_topk(name: str) -> tuple[str, int | None]:
@@ -300,14 +302,9 @@ def split_topk(name: str) -> tuple[str, int | None]:
     the other suffixes in any order, and names without ``^`` return
     ``(name, None)``.
     """
-    base, sep, tail = name.partition("^")
-    if not sep:
+    base, token = _split_suffix(name, "^")
+    if token is None:
         return name, None
-    token, rest = tail, ""
-    for index, char in enumerate(tail):
-        if char in "@%!?":
-            token, rest = tail[:index], tail[index:]
-            break
     try:
         k = int(token)
     except ValueError:
@@ -316,7 +313,7 @@ def split_topk(name: str) -> tuple[str, int | None]:
         raise ValueError(
             f"invalid ^k rank in algorithm name {name!r}; expected e.g. TBNmc^3"
         )
-    return base + rest, k
+    return base, k
 
 
 def resolve_alias(name: str) -> str:
@@ -519,8 +516,6 @@ def make_optimizer(
     memo_cold_capacity: int | None = None,
     memo_profile: CostProfile | None = None,
     global_cache: GlobalPlanCache | None = None,
-    fastpath: str | None = None,
-    fastpath_backend: str | None = None,
     budget: Budget | None = None,
     top_k: int | None = None,
 ):
@@ -551,15 +546,9 @@ def make_optimizer(
     passing a prebuilt ``memo``.
 
     The fast path (:mod:`repro.fastpath`) is selected by a ``!fast``
-    suffix on ``name`` and/or the explicit ``fastpath`` override
-    (``"on"`` | ``"off"`` | ``"auto"``/``None``), subject to the
-    ``REPRO_FASTPATH`` environment escape hatch — precedence per
-    :func:`repro.fastpath.detect.resolve_fastpath`.  It requires a
-    top-down algorithm and is incompatible with kernel profiling: an
-    *explicitly* requested fast path raises on either conflict, while
-    an ambient ``REPRO_FASTPATH=on`` silently keeps the oracle.
-    ``fastpath_backend`` pins the batch backend (``"python"`` |
-    ``"numpy"``) for serial fast-path runs; workers auto-detect.
+    suffix on ``name`` and nothing else.  It requires a top-down
+    algorithm and is incompatible with kernel profiling; both conflicts
+    raise.
 
     The anytime budget comes from a ``?budget`` suffix on ``name``
     and/or the explicit ``budget`` argument (explicit wins) and becomes
@@ -571,11 +560,7 @@ def make_optimizer(
     parallel ``@N`` run bounds the finishing pass (the level rounds run
     unbudgeted in worker processes).
     """
-    if fastpath not in {None, "auto", "on", "off"}:
-        raise ValueError(
-            f"invalid fastpath override {fastpath!r}; expected auto, on, or off"
-        )
-    resolved, fast_requested = split_fastpath(resolve_alias(name))
+    resolved, use_fast = split_fastpath(resolve_alias(name))
     base, suffix_budget = split_budget(resolved)
     base, suffix_topk = split_topk(base)
     base, memo_spec = split_memo_policy(base)
@@ -599,23 +584,16 @@ def make_optimizer(
             f"{name!r}: ranked enumeration is serial-only (ranked memo "
             "cells live in one memo); drop ^k or the @N worker count"
         )
-    use_fast = resolve_fastpath(fast_requested, fastpath)
-    fast_explicit = fast_requested or fastpath == "on"
     if use_fast and not spec.top_down:
-        if fast_explicit:
-            raise ValueError(
-                f"{name!r}: the fast path accelerates top-down partition "
-                "search; bottom-up algorithms have no batched equivalent"
-            )
-        use_fast = False  # ambient REPRO_FASTPATH=on: keep the oracle
+        raise ValueError(
+            f"{name!r}: the fast path accelerates top-down partition "
+            "search; bottom-up algorithms have no batched equivalent"
+        )
     if use_fast and profiler is not None:
-        if fast_explicit:
-            raise ValueError(
-                f"{name!r}: kernel profiling requires the oracle path "
-                "(its frames attribute scalar cost calls); drop !fast "
-                "or pass fastpath='off'"
-            )
-        use_fast = False  # ambient REPRO_FASTPATH=on: keep the oracle
+        raise ValueError(
+            f"{name!r}: kernel profiling requires the oracle path "
+            "(its frames attribute scalar cost calls); drop !fast"
+        )
 
     wants_memo_config = (
         memo_spec is not None
@@ -684,7 +662,6 @@ def make_optimizer(
                 query,
                 _partition_for(spec),
                 cost_model,
-                backend=fastpath_backend,
                 bounding=spec.bounding,
                 memo=memo,
                 metrics=metrics,

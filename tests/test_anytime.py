@@ -216,9 +216,7 @@ class TestTopKProperties:
     def test_fastpath_oracle_parity(self, topology, n, seed, k):
         """``!fast`` ranks bit-identically to the scalar oracle."""
         query = make_query(topology, n, seed)
-        oracle = make_optimizer(
-            "TBNmcAP", query, fastpath="off"
-        ).optimize_topk(k)
+        oracle = make_optimizer("TBNmcAP", query).optimize_topk(k)
         fast = make_optimizer("TBNmcAP!fast", query).optimize_topk(k)
         assert_ranked(oracle)
         assert [p.to_wire() for p in fast] == [p.to_wire() for p in oracle]

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -66,6 +71,39 @@ class TestCommands:
     def test_run_generated_topology(self, capsys):
         assert main(["run", "--topology", "chain", "--n", "4", "--rows", "12"]) == 0
         assert "result:" in capsys.readouterr().out
+
+
+class TestUserErrors:
+    """Bad input ends in one ``repro: error:`` line and exit 2, never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["optimize", "--algorithm", "XYZ"], "unrecognized algorithm"),
+            (["optimize", "--query", "a(10 b(20)"], "exactly one ';'"),
+            (
+                ["optimize", "--query", "a(inf) b(10); a-b:0.1"],
+                "finite number >= 0 (line 1, column 3)",
+            ),
+            (["profile", "--algorithm", "TBNmc!fast"], "oracle path"),
+        ],
+        ids=["unknown-algorithm", "query-syntax", "infinite-card", "profile-fast"],
+    )
+    def test_exits_2_without_traceback(self, argv, message):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+            },
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("repro: error: ")
+        assert message in result.stderr
 
 
 class TestObservabilityCommands:

@@ -3,30 +3,25 @@
 The contract under test is *bit-identical parity*: every batch kernel
 value equals the scalar model's output exactly (``==``, no tolerance),
 every fast-path plan compares equal to the oracle's, and the enumeration
-metrics are conserved.  The selection surfaces — ``!fast`` grammar,
-``REPRO_FASTPATH``, ``make_optimizer(fastpath=...)``, the CLI flag — and
-the numpy-free fallback are covered alongside.
+metrics are conserved.  The one selection surface — the ``!fast`` name
+suffix — is covered alongside, as is the promise that the fast path
+imports nothing beyond the standard library.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis.metrics import Metrics
 from repro.cost import CostModel, CoutCostModel
 from repro.enumerator import TopDownEnumerator
-from repro.fastpath import (
-    BatchCostKernel,
-    FastTopDownEnumerator,
-    OperandStats,
-    available_backends,
-    default_backend,
-    numpy_or_none,
-    resolve_fastpath,
-)
-from repro.fastpath.detect import _reset_numpy_probe, fastpath_mode
+from repro.fastpath import BatchCostKernel, FastTopDownEnumerator, OperandStats
 from repro.obs.profile import RecordingProfiler
 from repro.partition import MinCutLazy, NaiveBushyCPFree
 from repro.registry import make_optimizer, parse_name, resolve_alias, split_fastpath
@@ -34,22 +29,15 @@ from repro.workloads import chain, clique, cycle, star
 from repro.workloads.skewed import PROFILES, skewed_query
 from repro.workloads.weights import weighted_query
 
+#: The directory holding the ``repro`` package, for child interpreters.
+SRC_ROOT = os.path.dirname(os.path.dirname(repro.__file__))
+
 TOPOLOGIES = {
     "chain": chain,
     "star": star,
     "cycle": cycle,
     "clique": clique,
 }
-
-BACKENDS = available_backends()
-
-
-@pytest.fixture(autouse=True)
-def _neutral_fastpath_env(monkeypatch):
-    """These tests pin the selection surface themselves; an ambient
-    ``REPRO_FASTPATH`` (e.g. the escape-hatch CI sweep) must not leak in.
-    Tests covering the env re-set it explicitly via ``monkeypatch``."""
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
 
 
 def _frontier_pairs(query, max_pairs=400):
@@ -77,15 +65,14 @@ class TestBatchKernelParity:
         profile=st.sampled_from(PROFILES),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         model_kind=st.sampled_from(["io", "cout"]),
-        backend=st.sampled_from(BACKENDS),
     )
     def test_batch_equals_scalar_bitwise(
-        self, topology, n, profile, seed, model_kind, backend
+        self, topology, n, profile, seed, model_kind
     ):
         """Batch costs and bounds == scalar model outputs, bit for bit."""
         query = skewed_query(TOPOLOGIES[topology](n), profile, seed)
         model = CoutCostModel() if model_kind == "cout" else CostModel()
-        kernel = BatchCostKernel(query, model, backend=backend)
+        kernel = BatchCostKernel(query, model)
         pairs = _frontier_pairs(query)
         costs = kernel.operator_costs(pairs)
         bounds = kernel.lower_bounds(pairs)
@@ -115,11 +102,9 @@ class TestBatchKernelParity:
         assert BatchCostKernel(query, CoutCostModel()).mode == "cout"
         io_kernel = BatchCostKernel(query, CostModel())
         assert io_kernel.mode == "io"
-        assert io_kernel.backend == default_backend()
-        # A gather gains nothing from numpy: cout pins the python backend.
+        # One backend for every mode; perfbench reads (mode, backend).
+        assert io_kernel.backend == "python"
         assert BatchCostKernel(query, CoutCostModel()).backend == "python"
-        with pytest.raises(ValueError):
-            BatchCostKernel(query, CostModel(), backend="fortran")
 
     def test_operand_stats_memoize(self):
         query = weighted_query(chain(4), 2)
@@ -134,21 +119,20 @@ class TestBatchKernelParity:
 class TestEnumeratorParity:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("suffix", ["", "AP"])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", [BatchCostKernel.backend])
     def test_plan_and_metrics_parity(self, topology, suffix, backend):
         n = 6 if topology == "clique" else 7
         query = weighted_query(TOPOLOGIES[topology](n), n)
         oracle_metrics = Metrics()
         oracle = make_optimizer(
-            f"TBNmc{suffix}", query, metrics=oracle_metrics, fastpath="off"
+            f"TBNmc{suffix}", query, metrics=oracle_metrics
         ).optimize()
         fast_metrics = Metrics()
-        fast = make_optimizer(
-            f"TBNmc{suffix}!fast",
-            query,
-            metrics=fast_metrics,
-            fastpath_backend=backend,
-        ).optimize()
+        optimizer = make_optimizer(
+            f"TBNmc{suffix}!fast", query, metrics=fast_metrics
+        )
+        assert optimizer._batch.backend == backend
+        fast = optimizer.optimize()
         assert fast == oracle
         for counter in (
             "logical_joins_enumerated",
@@ -164,21 +148,15 @@ class TestEnumeratorParity:
     def test_parity_across_runtime_variants(self):
         """!fast composes with @N workers and %policy memos unchanged."""
         query = weighted_query(clique(6), 6)
-        reference = make_optimizer("TBNmc", query, fastpath="off").optimize()
+        reference = make_optimizer("TBNmc", query).optimize()
         for variant in ("TBNmc%cost:24!fast", "TBNmc@2!fast"):
             assert make_optimizer(variant, query).optimize() == reference, variant
 
     def test_io_model_parity(self):
         query = weighted_query(star(7), 7)
-        model = CostModel()
-        oracle = make_optimizer(
-            "TBNmc", query, CostModel(), fastpath="off"
-        ).optimize()
-        for backend in BACKENDS:
-            fast = make_optimizer(
-                "TBNmc!fast", query, CostModel(), fastpath_backend=backend
-            ).optimize()
-            assert fast == oracle, backend
+        oracle = make_optimizer("TBNmc", query, CostModel()).optimize()
+        fast = make_optimizer("TBNmc!fast", query, CostModel()).optimize()
+        assert fast == oracle
 
     def test_ordered_requests_delegate_to_oracle(self):
         query = weighted_query(chain(5), 5)
@@ -226,70 +204,27 @@ class TestGrammar:
 
 
 class TestSelection:
-    def test_resolve_fastpath_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert resolve_fastpath(False) is False
-        assert resolve_fastpath(True) is True
-        assert resolve_fastpath(False, "on") is True
-        assert resolve_fastpath(True, "off") is False
-        monkeypatch.setenv("REPRO_FASTPATH", "on")
-        assert resolve_fastpath(False) is True
-        assert resolve_fastpath(False, "off") is False
-        monkeypatch.setenv("REPRO_FASTPATH", "off")
-        assert resolve_fastpath(True, "on") is False
-
-    def test_fastpath_mode_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "maybe")
-        with pytest.raises(ValueError):
-            fastpath_mode()
-
-    def test_env_off_is_the_escape_hatch(self, monkeypatch):
-        query = weighted_query(chain(5), 5)
-        monkeypatch.setenv("REPRO_FASTPATH", "off")
-        optimizer = make_optimizer("TBNmc!fast", query)
-        assert type(optimizer) is TopDownEnumerator
-
-    def test_env_on_keeps_oracle_for_bottom_up_and_profiled(self, monkeypatch):
-        query = weighted_query(chain(5), 5)
-        monkeypatch.setenv("REPRO_FASTPATH", "on")
-        assert type(make_optimizer("TBNmc", query)) is FastTopDownEnumerator
-        assert not isinstance(
-            make_optimizer("BBNccp", query), FastTopDownEnumerator
+    def test_fast_path_imports_no_numpy(self):
+        """``!fast`` runs on the standard library alone: a fresh
+        interpreter that imports the CLI and runs a fast-path search has
+        not loaded numpy, even where numpy is installed."""
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "from repro.registry import make_optimizer\n"
+            "from repro.workloads import clique\n"
+            "from repro.workloads.weights import weighted_query\n"
+            "q = weighted_query(clique(6), 6)\n"
+            "make_optimizer('TBNmc!fast', q).optimize()\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
-        profiled = make_optimizer(
-            "TBNmc", query, profiler=RecordingProfiler()
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_ROOT},
         )
-        assert type(profiled) is TopDownEnumerator
-
-    def test_invalid_override_rejected(self):
-        query = weighted_query(chain(4), 4)
-        with pytest.raises(ValueError, match="fastpath"):
-            make_optimizer("TBNmc", query, fastpath="sometimes")
-
-
-class TestNumpyFreeFallback:
-    @pytest.fixture
-    def no_numpy(self):
-        _reset_numpy_probe(None)
-        yield
-        _reset_numpy_probe(clear=True)
-
-    def test_detection_reports_python_only(self, no_numpy):
-        assert numpy_or_none() is None
-        assert default_backend() == "python"
-        assert available_backends() == ("python",)
-
-    def test_numpy_backend_request_fails_loudly(self, no_numpy):
-        query = weighted_query(chain(4), 4)
-        with pytest.raises(ValueError, match="numpy"):
-            BatchCostKernel(query, CostModel(), backend="numpy")
-
-    def test_fast_path_still_works_and_agrees(self, no_numpy):
-        query = weighted_query(star(6), 6)
-        optimizer = make_optimizer("TBNmc!fast", query)
-        assert optimizer.fastpath_backend == "python"
-        oracle = make_optimizer("TBNmc", query, fastpath="off").optimize()
-        assert optimizer.optimize() == oracle
+        assert result.returncode == 0, result.stderr
 
 
 class TestConformanceIntegration:
@@ -333,23 +268,24 @@ class TestCli:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["fastpath"]["backend"] in ("python", "numpy")
+        assert payload["fastpath"] == {"mode": "io"}
 
     def test_fastpath_flag_matches_oracle(self, capsys):
+        """The ``!fast`` suffix is the CLI's only fast-path switch."""
         from repro.cli import main as cli_main
 
         results = {}
-        for label, flag in (("fast", "on"), ("oracle", "off")):
+        for label, algorithm in (("fast", "TBNmc!fast"), ("oracle", "TBNmc")):
             code = cli_main(
                 [
                     "optimize",
+                    "--algorithm",
+                    algorithm,
                     "--topology",
                     "star",
                     "--n",
                     "7",
                     "--json",
-                    "--fastpath",
-                    flag,
                 ]
             )
             assert code == 0

@@ -347,60 +347,6 @@ class TestImportLayering:
         assert LAYERS["repro.fastpath"] < LAYERS["repro.registry"]
 
 
-class TestFastpathGuard:
-    def test_flags_bare_numpy_import(self):
-        found = findings("import numpy\n", module="repro.cost.io_model")
-        assert [f.rule for f in found] == ["fastpath-guard"]
-        assert found[0].severity == ERROR
-        assert "numpy" in found[0].message
-
-    def test_flags_from_import_and_submodules(self):
-        assert "fastpath-guard" in rule_names(
-            "from numpy import ndarray\n", module="repro.fastpath.batch"
-        )
-        assert "fastpath-guard" in rule_names(
-            "import numpy.linalg\n", module="repro.analysis.counting"
-        )
-        assert "fastpath-guard" in rule_names(
-            "from mypyc.build import mypycify\n", module="fixture"
-        )
-
-    def test_flags_lazy_function_scoped_import(self):
-        # A deferred hard dependency still detonates on first call.
-        source = """\
-        def kernel():
-            import numpy
-            return numpy.ceil
-        """
-        assert "fastpath-guard" in rule_names(
-            source, module="repro.fastpath.batch"
-        )
-
-    def test_detection_shim_is_exempt(self):
-        source = """\
-        def numpy_or_none():
-            try:
-                import numpy
-            except ImportError:
-                return None
-            return numpy
-        """
-        assert rule_names(source, module="repro.fastpath.detect") == []
-
-    def test_shim_consumers_are_clean(self):
-        assert rule_names(
-            "from repro.fastpath.detect import numpy_or_none\n"
-            "np = numpy_or_none()\n",
-            module="repro.fastpath.batch",
-        ) == []
-
-    def test_pragma_suppresses(self):
-        assert rule_names(
-            "from mypyc.build import mypycify"
-            "  # lint: disable=fastpath-guard -- build-time only\n"
-        ) == []
-
-
 class TestEngine:
     def test_trailing_pragma_with_reason_keeps_rule_name_exact(self):
         """Regression: the `-- reason` suffix must not leak into the rule
@@ -462,7 +408,7 @@ class TestEngine:
 
     def test_rule_registry_is_consistent(self):
         names = [rule.name for rule in ALL_RULES]
-        assert len(names) == len(set(names)) == 23
+        assert len(names) == len(set(names)) == 22
         assert sum(1 for name in names if name.startswith("flow-")) == 12
         for name in names:
             assert rule_by_name(name).name == name

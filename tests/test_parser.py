@@ -120,6 +120,21 @@ class TestErrorPositions:
         assert err.line == 2
         assert err.column == 3  # points at "oops" inside b(...)
 
+    @pytest.mark.parametrize(
+        "text,token,match",
+        [
+            ("a(nan) b(10); a-b:0.1", "nan", "finite"),
+            ("a(inf) b(10); a-b:0.1", "inf", "finite"),
+            ("a(-5) b(10); a-b:0.1", "-5", ">= 0"),
+            ("a(10) a(20); a-a:0.1", "a(20)", "duplicate relation"),
+        ],
+        ids=["nan", "inf", "negative", "duplicate"],
+    )
+    def test_bad_relation_value_position(self, text, token, match):
+        err = self._fail(text)
+        assert match in err.message
+        assert err.position == text.index(token)
+
     def test_surplus_semicolon_position(self):
         text = "a(1); a-b:0.5; extra"
         err = self._fail(text)
