@@ -2,8 +2,8 @@
 
 For each workload the scalar oracle (``TBNmc``) and the batched fast
 path (``TBNmc!fast``) run the same serial search under the ``C_out`` cost
-model — the combination ``repro profile`` bills ~81 % of wall time to
-(``cost.eval`` + ``enum.recurse``).  Every fast-path plan is asserted
+model, batching the two kernels ``repro profile`` bills most of the
+oracle's wall time to (``cost.eval`` + ``enum.recurse``).  Every fast-path plan is asserted
 *bit-identical* to the oracle's (``Plan.__eq__``: shape, operators,
 exact costs) before any timing is reported, so the speedup table can
 never hide a correctness regression.

@@ -2,8 +2,11 @@
 
 A :class:`Query` couples a connected :class:`~repro.core.joingraph.JoinGraph`
 with per-relation cardinalities and per-edge selectivities, and provides the
-cardinality estimator shared by every enumeration algorithm.  Estimates are
-cached per vertex set, so repeated lookups during enumeration are O(1).
+per-subset statistics shared by every enumeration algorithm and cost model:
+the cardinality estimate and the page count of a vertex set.  Both are
+cached per vertex set (a query is immutable), so repeated lookups during
+enumeration are one dictionary probe.  :attr:`Query.edge_items` holds the
+predicates sorted by endpoints, for loops that walk every edge.
 """
 
 from __future__ import annotations
@@ -29,14 +32,19 @@ class Query:
         Base relations in vertex order.
     selectivity:
         ``selectivity[(u, v)]`` with ``u < v`` for every join edge.
+    edge_items:
+        The same predicates as flat ``(u, v, selectivity)`` tuples, sorted
+        by ``(u, v)``; the order every edge walk (join selectivity, output
+        order) follows.
     """
 
     __slots__ = (
         "graph",
         "relations",
         "selectivity",
+        "edge_items",
         "_cardinality_cache",
-        "_edge_items",
+        "_pages_cache",
         "_log_cards",
         "_log_edges",
     )
@@ -62,11 +70,11 @@ class Query:
         self.graph = graph
         self.relations = tuple(relations)
         self.selectivity = dict(selectivity)
-        self._cardinality_cache: dict[int, float] = {}
-        # Flat (u, v, sel) list for the estimator's inner loop.
-        self._edge_items = tuple(
+        self.edge_items = tuple(
             (u, v, s) for (u, v), s in sorted(self.selectivity.items())
         )
+        self._cardinality_cache: dict[int, float] = {}
+        self._pages_cache: dict[int, float] = {}
         # Log-space factors: products over many relations overflow floats
         # (80 relations of 1e5 tuples multiply to 1e400), so the estimator
         # accumulates base-10 logs and exponentiates at the end.
@@ -74,9 +82,7 @@ class Query:
             math.log10(r.cardinality) if r.cardinality > 0 else None
             for r in self.relations
         )
-        self._log_edges = tuple(
-            (u, v, math.log10(s)) for (u, v), s in sorted(self.selectivity.items())
-        )
+        self._log_edges = tuple((u, v, math.log10(s)) for u, v, s in self.edge_items)
 
     # -- construction ----------------------------------------------------------
 
@@ -120,7 +126,7 @@ class Query:
 
     def predicates(self) -> list[JoinPredicate]:
         """Materialize the predicate list (mostly for display/round-tripping)."""
-        return [JoinPredicate(u, v, s) for (u, v), s in sorted(self.selectivity.items())]
+        return [JoinPredicate(u, v, s) for u, v, s in self.edge_items]
 
     def cardinality(self, subset: int) -> float:
         """Estimated output cardinality of joining the relations in ``subset``.
@@ -157,7 +163,7 @@ class Query:
     def join_selectivity(self, left: int, right: int) -> float:
         """Combined selectivity of all predicates crossing ``left``/``right``."""
         sel = 1.0
-        for u, v, s in self._edge_items:
+        for u, v, s in self.edge_items:
             u_in_left = left >> u & 1
             v_in_left = left >> v & 1
             u_in_right = right >> u & 1
@@ -171,16 +177,23 @@ class Query:
 
         Base relations report their physical page count; intermediate
         results assume the default packing of their widest constituent.
+        Cached per subset, like :meth:`cardinality`.
         """
+        cached = self._pages_cache.get(subset)
+        if cached is not None:
+            return cached
         card = self.cardinality(subset)
         if subset != 0 and subset & (subset - 1) == 0:
             v = subset.bit_length() - 1
-            return max(1.0, card / self.relations[v].tuples_per_page)
-        tuples_per_page = min(
-            (self.relations[v].tuples_per_page for v in iter_bits(subset)),
-            default=1,
-        )
-        return max(1.0, card / tuples_per_page)
+            pages = max(1.0, card / self.relations[v].tuples_per_page)
+        else:
+            tuples_per_page = min(
+                (self.relations[v].tuples_per_page for v in iter_bits(subset)),
+                default=1,
+            )
+            pages = max(1.0, card / tuples_per_page)
+        self._pages_cache[subset] = pages
+        return pages
 
     def relation_name(self, v: int) -> str:
         """Name of the relation at vertex ``v``."""

@@ -10,6 +10,7 @@ times the product of the selectivities of all predicates internal to ``S``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["Catalog", "JoinPredicate", "Relation"]
@@ -23,7 +24,10 @@ class Relation:
     """A base relation participating in the join.
 
     ``tuples_per_page`` feeds the I/O cost model's page-count computation;
-    the default matches a typical textbook setting.
+    the default matches a typical textbook setting.  ``cardinality`` must be
+    finite and non-negative: the catalog, the query DSL and the plan
+    service's inline graphs all build relations here, so this is their
+    one shared rule.
     """
 
     name: str
@@ -31,6 +35,11 @@ class Relation:
     tuples_per_page: int = DEFAULT_TUPLES_PER_PAGE
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.cardinality):
+            raise ValueError(
+                f"relation {self.name!r} has non-finite cardinality "
+                f"{self.cardinality!r}"
+            )
         if self.cardinality < 0:
             raise ValueError(f"relation {self.name!r} has negative cardinality")
         if self.tuples_per_page <= 0:

@@ -173,11 +173,12 @@ class CostModel:
         """Order token produced by joining ``left`` and ``right``.
 
         A sort-merge join leaves its output sorted on the outer side's join
-        key; we use the smallest outer endpoint of any crossing predicate.
+        key; we use the outer endpoint of the first crossing predicate in
+        ``query.edge_items`` order.
         """
         if not method.preserves_key_order:
             return None
-        for (u, v), _sel in sorted(query.selectivity.items()):
+        for u, v, _sel in query.edge_items:
             if left >> u & 1 and right >> v & 1:
                 return u
             if left >> v & 1 and right >> u & 1:

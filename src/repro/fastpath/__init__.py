@@ -1,11 +1,11 @@
 """``repro.fastpath``: the conformance-checked accelerated substrate.
 
-Two measured hot kernels (``cost.eval`` ~50 % and ``enum.recurse`` ~31 %
-of wall, BENCH_profile.json) run here behind a drop-in fast path:
+The two kernels ``repro profile`` bills most oracle time to
+(``cost.eval`` and ``enum.recurse``) run here behind a drop-in fast path:
 
 * :class:`BatchCostKernel` — operator costs over a whole candidate
-  frontier in one pure-python batch, fed by :class:`OperandStats`
-  per-subset memos;
+  frontier in one pure-python batch, fed by the query's per-subset
+  pages/cardinality caches and a per-subset sort-cost memo;
 * :class:`FastTopDownEnumerator` — the oracle's Algorithm 1/7 loops
   restructured around the batch kernel, building plan nodes only for
   improving candidates.
@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from repro.fastpath.batch import BatchCostKernel
 from repro.fastpath.enumerator import FastTopDownEnumerator
-from repro.fastpath.stats import OperandStats
 
 __all__ = [
     "BatchCostKernel",
     "FastTopDownEnumerator",
-    "OperandStats",
 ]

@@ -1,27 +1,29 @@
 """Batched cost kernel: one evaluation over a whole candidate frontier.
 
-``repro profile`` bills ~50 % of wall time to ``cost.eval``: the scalar
-model is called three times (once per join method) for every candidate
-pair the partition strategy emits.  :class:`BatchCostKernel` replaces
-those per-candidate calls with one evaluation over the full frontier of
-an expression, specialised by exact cost-model type:
+``repro profile`` bills about a third of the oracle's wall time to
+``cost.eval``: the scalar model is called three times (once per join
+method) for every candidate pair the partition strategy emits.
+:class:`BatchCostKernel` replaces those per-candidate calls with one
+evaluation over the full frontier of an expression, specialised by
+exact cost-model type:
 
 * :class:`~repro.cost.io_model.CostModel` (the textbook I/O model) —
-  the bnl/hash formulas are evaluated over memoized operand pages in
+  the bnl/hash formulas are evaluated over cached operand pages in
   the *same operation order* as the scalar code (add, multiply, divide,
   and ceil are exact IEEE-754 operations, so same inputs + same order =
-  bit-identical outputs); sort-merge costs are gathered from per-subset
-  scalars memoized in :class:`~repro.fastpath.stats.OperandStats`
+  bit-identical outputs); operand pages come from the query's own
+  per-subset cache (:meth:`~repro.catalog.query.Query.pages`), and
+  sort-merge costs from the kernel's per-subset sort-cost memo
   (``external_sort_cost`` contains a logarithm, so it is computed once
-  per subset by the scalar model and never re-derived).
+  per subset by the scalar function and never re-derived).
 * :class:`~repro.cost.cout_model.CoutCostModel` — an operator's cost is
-  its output cardinality, so the batch is a pure gather of memoized
-  cardinalities.
+  its output cardinality, so the batch is a pure gather of the query's
+  cached cardinalities.
 * any other subclass — per-candidate scalar fallback through the
   model's own ``operator_cost``/``lower_bound`` hooks, so exotic models
   keep working under ``!fast`` unchanged.
 
-Predicted-bound batches use the scalar formulas over memoized stats for
+Predicted-bound batches use the scalar formulas over cached stats for
 every mode: they are single additions, where gather cost dominates and
 exactness is free.
 
@@ -36,8 +38,7 @@ from typing import Sequence
 
 from repro.catalog.query import Query
 from repro.cost.cout_model import CoutCostModel
-from repro.cost.io_model import CostModel
-from repro.fastpath.stats import OperandStats
+from repro.cost.io_model import CostModel, external_sort_cost
 
 __all__ = ["BatchCostKernel"]
 
@@ -53,9 +54,10 @@ class BatchCostKernel:
     each bit-identical to ``model.operator_cost(query, method, left,
     right)``.  ``lower_bounds(pairs)`` mirrors ``model.lower_bound``.
     ``mode`` names the specialisation (``io``, ``cout`` or ``generic``).
+    ``sort_costs`` memoizes ``external_sort_cost`` of each subset's pages.
     """
 
-    __slots__ = ("query", "model", "stats", "mode")
+    __slots__ = ("query", "model", "mode", "sort_costs")
 
     #: The one batch implementation; reported next to ``mode``.
     backend = "python"
@@ -63,7 +65,7 @@ class BatchCostKernel:
     def __init__(self, query: Query, model: CostModel) -> None:
         self.query = query
         self.model = model
-        self.stats = OperandStats(query, model)
+        self.sort_costs: dict[int, float] = {}
         kind = type(model)
         if kind is CoutCostModel:
             self.mode = "cout"
@@ -81,7 +83,7 @@ class BatchCostKernel:
     ) -> list[tuple[float, ...]]:
         """Per-candidate operator costs, aligned with ``JOIN_METHODS``."""
         if self.mode == "cout":
-            cardinality = self.stats.cardinality
+            cardinality = self.query.cardinality
             return [
                 (cost, cost, cost)
                 for cost in [cardinality(left | right) for left, right in pairs]
@@ -102,8 +104,8 @@ class BatchCostKernel:
     def _io_costs(
         self, pairs: Sequence[tuple[int, int]]
     ) -> list[tuple[float, ...]]:
-        pages = self.stats.pages
-        sort_cost = self.stats.sort_cost
+        pages = self.query.pages
+        sort_cost = self.sort_cost
         loads_divisor = self.model.buffer_pages - 2
         out: list[tuple[float, ...]] = []
         for left, right in pairs:
@@ -115,12 +117,22 @@ class BatchCostKernel:
             out.append((bnl, hash_cost, smj))
         return out
 
+    def sort_cost(self, subset: int) -> float:
+        """External-sort cost of ``subset``'s pages, memoized per subset."""
+        cost = self.sort_costs.get(subset)
+        if cost is None:
+            cost = external_sort_cost(
+                self.query.pages(subset), self.model.buffer_pages
+            )
+            self.sort_costs[subset] = cost
+        return cost
+
     # -- predicted-cost lower bounds ---------------------------------------------
 
     def lower_bounds(self, pairs: Sequence[tuple[int, int]]) -> list[float]:
         """Per-candidate Section 4.2 lower bounds (scalar-exact)."""
         if self.mode == "cout":
-            cardinality = self.stats.cardinality
+            cardinality = self.query.cardinality
             out: list[float] = []
             for left, right in pairs:
                 bound = cardinality(left | right)
@@ -131,7 +143,7 @@ class BatchCostKernel:
                 out.append(bound)
             return out
         if self.mode == "io":
-            pages = self.stats.pages
+            pages = self.query.pages
             out = []
             for left, right in pairs:
                 bound = 0.0

@@ -3,13 +3,13 @@
 :class:`FastTopDownEnumerator` is a drop-in subclass of the oracle
 :class:`~repro.enumerator.TopDownEnumerator` that replaces the two
 measured hot loops (``_calc_best_join`` and its Algorithm 7 budgeted
-variant — ``cost.eval`` ~50 % and ``enum.recurse`` ~31 % of wall per
-BENCH_profile.json) with a frontier-batched equivalent:
+variant, where ``repro profile`` bills the ``cost.eval`` and
+``enum.recurse`` kernels) with a frontier-batched equivalent:
 
 1. materialise the partition frontier of the expression once;
 2. evaluate every candidate's operator costs (and, under predicted
    bounding, lower bounds) in one :class:`~repro.fastpath.batch.BatchCostKernel`
-   call over memoized operand stats;
+   call over the query's cached per-subset stats;
 3. scan the candidates in the oracle's order with the oracle's exact
    comparison semantics (strict ``<``, first wins ties), building a
    :class:`~repro.plans.physical.Plan` node **only when a candidate

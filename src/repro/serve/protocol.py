@@ -174,14 +174,14 @@ def _query_from_graph(graph: Any) -> Query:
     if not isinstance(predicates, list):
         raise RequestError("'graph.predicates' must be a list")
     catalog = Catalog()
-    for item in relations:
+    for i, item in enumerate(relations):
         if (
             not isinstance(item, list)
             or not 2 <= len(item) <= 3
             or not isinstance(item[0], str)
         ):
             raise RequestError(
-                "each relation must be [name, cardinality] or "
+                f"graph.relations[{i}] must be [name, cardinality] or "
                 "[name, cardinality, tuples_per_page]"
             )
         try:
@@ -191,8 +191,10 @@ def _query_from_graph(graph: Any) -> Query:
                 catalog.add_relation(item[0], cardinality, tuples_per_page)
             else:
                 catalog.add_relation(item[0], cardinality)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad relation {item[0]!r}: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RequestError(
+                f"bad graph.relations[{i}] {item[0]!r}: {exc}"
+            ) from None
     for pred in predicates:
         if not isinstance(pred, list) or len(pred) != 3:
             raise RequestError(

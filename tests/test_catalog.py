@@ -25,6 +25,9 @@ class TestRelation:
     def test_negative_cardinality_rejected(self):
         with pytest.raises(ValueError):
             Relation("R", -1)
+        for card in (math.nan, math.inf, -math.inf, float("1e400")):
+            with pytest.raises(ValueError, match="non-finite"):
+                Relation("R", card)
 
     def test_bad_packing_rejected(self):
         with pytest.raises(ValueError):
@@ -143,9 +146,13 @@ class TestCardinalityEstimation:
         assert q.cardinality(0b101) == pytest.approx(100)
 
     def test_caching_returns_same_value(self):
+        """Cached cardinality and pages equal a fresh query's first answer."""
         q = weighted_query(star(6), 3)
-        v = q.cardinality(0b111)
-        assert q.cardinality(0b111) == v
+        for subset in iter_subsets(q.graph.all_vertices):
+            fresh = weighted_query(star(6), 3)
+            card, pages = q.cardinality(subset), q.pages(subset)
+            assert q.cardinality(subset) == card == fresh.cardinality(subset)
+            assert q.pages(subset) == pages == fresh.pages(subset)
 
     def test_join_selectivity_cross_edges_only(self):
         q = Query.uniform(chain(4), selectivity=0.5)

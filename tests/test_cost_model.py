@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Query
+from repro.core.bitset import iter_subsets
 from repro.cost.io_model import CostModel, DEFAULT_BUFFER_PAGES, external_sort_cost
 from repro.cost.lower_bounds import scan_lower_bound, subtree_lower_bound
-from repro.workloads import chain, random_connected_graph, star
+from repro.workloads import chain, cycle, random_connected_graph, star
 from repro.workloads.weights import weighted_query
 
 
@@ -96,6 +97,30 @@ class TestJoins:
         assert model.join_output_order(query, smj, 0b0010, 0b0001) == 1
         # Unordered methods produce no order.
         assert model.join_output_order(query, model.JOIN_METHODS[0], 1, 2) is None
+
+    def test_output_order_matches_sorted_selectivity_walk(self, model):
+        """Walking ``query.edge_items`` finds the same first crossing
+        predicate as sorting ``query.selectivity`` on every call did."""
+
+        def reference(query, left, right):
+            for (u, v), _sel in sorted(query.selectivity.items()):
+                if left >> u & 1 and right >> v & 1:
+                    return u
+                if left >> v & 1 and right >> u & 1:
+                    return v
+            return None
+
+        q = weighted_query(cycle(6), 11)
+        smj = model.JOIN_METHODS[2]
+        full = q.graph.all_vertices
+        pairs = 0
+        for left in iter_subsets(full, proper=True):
+            for right in iter_subsets(full & ~left):
+                assert model.join_output_order(q, smj, left, right) == reference(
+                    q, left, right
+                ), (left, right)
+                pairs += 1
+        assert pairs == 3**6 - 2 * 2**6 + 1  # every ordered disjoint pair
 
     def test_sort_enforcer(self, model, query):
         [scan] = model.scan_plans(query, 0b0001, None)

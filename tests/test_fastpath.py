@@ -21,7 +21,7 @@ import repro
 from repro.analysis.metrics import Metrics
 from repro.cost import CostModel, CoutCostModel
 from repro.enumerator import TopDownEnumerator
-from repro.fastpath import BatchCostKernel, FastTopDownEnumerator, OperandStats
+from repro.fastpath import BatchCostKernel, FastTopDownEnumerator
 from repro.obs.profile import RecordingProfiler
 from repro.partition import MinCutLazy, NaiveBushyCPFree
 from repro.registry import make_optimizer, parse_name, resolve_alias, split_fastpath
@@ -106,14 +106,18 @@ class TestBatchKernelParity:
         assert io_kernel.backend == "python"
         assert BatchCostKernel(query, CoutCostModel()).backend == "python"
 
-    def test_operand_stats_memoize(self):
+    def test_kernel_memoizes_sort_costs(self):
         query = weighted_query(chain(4), 2)
-        stats = OperandStats(query, CostModel())
-        assert len(stats) == 0
-        first = stats.sort_cost(0b0011)
-        assert first == stats.sort_cost(0b0011)
-        assert stats.pages(0b0011) == query.pages(0b0011)
-        assert len(stats) == 2  # one pages cell + one sort cell
+        model = CostModel()
+        kernel = BatchCostKernel(query, model)
+        assert kernel.sort_costs == {}
+        first = kernel.sort_cost(0b0011)
+        assert first == model.sort_cost(query, 0b0011)
+        assert first == kernel.sort_cost(0b0011)
+        assert kernel.sort_costs == {0b0011: first}  # one sort cell
+        [(_bnl, hash_cost, _smj)] = kernel.operator_costs([(0b0001, 0b0010)])
+        assert hash_cost == 3.0 * (query.pages(0b0001) + query.pages(0b0010))
+        assert set(kernel.sort_costs) == {0b0011, 0b0001, 0b0010}
 
 
 class TestEnumeratorParity:

@@ -165,6 +165,17 @@ class TestProtocol:
                 {"graph": {"relations": [["a", 10.0], ["b", 5.0]],
                            "predicates": [["a", "b", 7.0]]}}
             )
+        # JSON's non-standard literals parse to non-finite floats; a
+        # non-finite cardinality or page size must be refused, naming the
+        # offending relation by position.
+        for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+            for relation in (f'["b", {literal}]', f'["b", 10, {literal}]'):
+                line = (
+                    '{"graph": {"relations": [["a", 10], ' + relation + '], '
+                    '"predicates": [["a", "b", 0.1]]}}\n'
+                ).encode()
+                with pytest.raises(RequestError, match=r"graph\.relations\[1\]"):
+                    build_request(decode_line(line))
 
     def test_decode_line(self):
         assert decode_line(b'{"op": "ping"}\n') == {"op": "ping"}
