@@ -32,6 +32,8 @@ from typing import Iterator, Optional
 
 from repro.catalog.query import Query
 from repro.catalog.stats import Catalog
+from repro.core.bitset import first_bit
+from repro.core.joingraph import JoinGraph
 
 __all__ = ["parse_query", "QuerySyntaxError"]
 
@@ -99,8 +101,9 @@ def parse_query(text: str) -> Query:
     """Parse the DSL described in the module docstring into a Query."""
     parts = text.split(";")
     if len(parts) != 2:
-        # Two semicolons: the second one is the surplus; none: unknown spot.
-        position = None
+        # Two semicolons: the second one is the surplus; none: the end of
+        # input, where the missing one would have to go at the latest.
+        position = len(text)
         if len(parts) > 2:
             position = len(parts[0]) + 1 + len(parts[1])
         raise QuerySyntaxError(
@@ -176,7 +179,17 @@ def parse_query(text: str) -> Query:
                 f"bad predicate {token!r}: {exc}", position=offset, text=text
             ) from None
 
-    try:
-        return Query.from_catalog(catalog)
-    except ValueError as exc:
-        raise QuerySyntaxError(str(exc), text=text) from None
+    # Every predicate is valid by now, so the one check left is that the
+    # join graph is connected: point at the first relation the first one
+    # cannot reach.
+    graph = JoinGraph(
+        len(catalog.relations), [p.endpoints() for p in catalog.predicates]
+    )
+    unreached = graph.all_vertices & ~graph.reachable_from(1, graph.all_vertices)
+    if unreached:
+        raise QuerySyntaxError(
+            "catalog predicates do not form a connected join graph",
+            position=relation_tokens[first_bit(unreached)][1],
+            text=text,
+        )
+    return Query.from_catalog(catalog)

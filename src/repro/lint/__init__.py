@@ -4,8 +4,9 @@ The conformance subsystem (PR 4) verifies the paper's invariants
 *dynamically*; this package enforces the implementation disciplines those
 invariants rest on *statically*, at review time:
 
-* **determinism** — seeded randomness only, no set iteration feeding
-  ordering-sensitive sinks, no identity-based sort keys;
+* **determinism** — seeded randomness only (no missing seed, none drawn
+  from time/pid/entropy), no set iteration feeding ordering-sensitive
+  sinks, no identity-based sort keys;
 * **bitset discipline** — the Section 3.1 bitmap model stays bitwise in
   ``core``/``partition`` (no set materialization, no string popcounts,
   no per-index bit probing where ``iter_bits`` exists);
@@ -14,11 +15,14 @@ invariants rest on *statically*, at review time:
 * **metrics discipline** — counter fields and instrument names must be
   declared (cross-checked by introspecting the live modules);
 * **import layering** — the package DAG ``core → partition → enumerator
-  → {parallel, conformance} → cli`` admits no upward imports.
+  → {parallel, conformance} → cli`` admits no upward imports;
+* **lock discipline** — in a class that owns a lock, an attribute
+  guarded by it somewhere is guarded by it everywhere.
 
-Entry points: ``repro lint`` on the CLI, :func:`lint_paths` /
-:func:`lint_source` from code and tests.  See ``docs/static-analysis.md``
-for the rule catalog and the pragma syntax.
+Every rule reads one module at a time.  Entry points: ``repro lint`` on
+the CLI, :func:`lint_paths` / :func:`lint_source` from code and tests.
+See ``docs/static-analysis.md`` for the rule catalog and the pragma
+syntax.
 """
 
 from __future__ import annotations
@@ -37,30 +41,15 @@ from repro.lint.engine import (
 )
 from repro.lint.engine import lint_paths as _lint_paths
 from repro.lint.engine import lint_source as _lint_source
-from repro.lint.flow import FlowProgram, render_call_graph
-from repro.lint.reporters import (
-    render_json,
-    render_rules,
-    render_sarif,
-    render_text,
-)
-from repro.lint.rules import (
-    ALL_RULES,
-    FLOW_RULES,
-    LAYERS,
-    SYNTACTIC_RULES,
-    rule_by_name,
-)
+from repro.lint.reporters import render_json, render_rules, render_text
+from repro.lint.rules import ALL_RULES, LAYERS, rule_by_name
 
 __all__ = [
     "ALL_RULES",
     "ERROR",
-    "FLOW_RULES",
     "LAYERS",
-    "SYNTACTIC_RULES",
     "WARNING",
     "Finding",
-    "FlowProgram",
     "LintReport",
     "ModuleSource",
     "Rule",
@@ -68,10 +57,8 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "module_name_for",
-    "render_call_graph",
     "render_json",
     "render_rules",
-    "render_sarif",
     "render_text",
     "rule_by_name",
 ]
@@ -83,12 +70,11 @@ def lint_paths(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
     rules: Sequence[Rule] | None = None,
-    program_paths: Sequence[str] | None = None,
 ) -> LintReport:
     """Lint files/directories with the built-in rules (or ``rules``)."""
     return _lint_paths(
         paths, rules if rules is not None else ALL_RULES,
-        select=select, ignore=ignore, program_paths=program_paths,
+        select=select, ignore=ignore,
     )
 
 

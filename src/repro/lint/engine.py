@@ -24,13 +24,12 @@ Suppressions must name rules explicitly — there is no bare ``disable``.
 from __future__ import annotations
 
 import ast
-import fnmatch
 import os
 import re
 import tokenize
 from dataclasses import dataclass, field
 from io import StringIO
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ERROR",
@@ -255,25 +254,15 @@ class LintReport:
         }
 
 
-def _expand_patterns(patterns: Iterable[str], known: set[str]) -> set[str]:
-    """Expand exact names and ``fnmatch`` globs (``flow-*``) to rule names."""
-    expanded: set[str] = set()
-    for requested in patterns:
-        if any(ch in requested for ch in "*?["):
-            matched = set(fnmatch.filter(known, requested))
-            if not matched:
-                raise ValueError(
-                    f"pattern {requested!r} matches no rule; choose from "
-                    f"{sorted(known)}"
-                )
-            expanded |= matched
-        elif requested not in known:
-            raise ValueError(
-                f"unknown rule {requested!r}; choose from {sorted(known)}"
-            )
-        else:
-            expanded.add(requested)
-    return expanded
+def _check_names(names: Iterable[str], known: set[str]) -> set[str]:
+    """``names`` as a set, rejecting any that is not a rule name."""
+    wanted = set(names)
+    unknown = sorted(wanted - known)
+    if unknown:
+        raise ValueError(
+            f"unknown rule {unknown[0]!r}; choose from {sorted(known)}"
+        )
+    return wanted
 
 
 def _select_rules(
@@ -284,10 +273,10 @@ def _select_rules(
     known = {rule.name for rule in rules}
     chosen = list(rules)
     if select:
-        wanted = _expand_patterns(select, known)
+        wanted = _check_names(select, known)
         chosen = [rule for rule in chosen if rule.name in wanted]
     if ignore:
-        dropped = _expand_patterns(ignore, known)
+        dropped = _check_names(ignore, known)
         chosen = [rule for rule in chosen if rule.name not in dropped]
     return chosen
 
@@ -298,32 +287,11 @@ def lint_modules(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    program_modules: Iterable[ModuleSource] | None = None,
 ) -> LintReport:
-    """Run ``rules`` over parsed modules; the core of every entry point.
-
-    Rules with ``needs_program = True`` (the whole-program flow rules)
-    get a prepare phase first: the full module list — ``program_modules``
-    when given (the ``--program-root`` fast path: analyze the whole
-    program, report only on ``modules``), else the modules being linted —
-    is handed to each such rule's ``prepare``, which returns the shared
-    program object so the index/call-graph/effect fixpoint is built once
-    per run rather than once per rule.
-    """
+    """Run ``rules`` over parsed modules; the core of every entry point."""
     chosen = _select_rules(rules, select, ignore)
     report = LintReport(rules_run=tuple(rule.name for rule in chosen))
-    module_list = list(modules)
-    program_rules = [
-        rule for rule in chosen if getattr(rule, "needs_program", False)
-    ]
-    if program_rules:
-        context = (
-            list(program_modules) if program_modules is not None else module_list
-        )
-        shared: object | None = None
-        for rule in program_rules:
-            shared = rule.prepare(context, shared)  # type: ignore[attr-defined]
-    for module in module_list:
+    for module in modules:
         report.files_checked += 1
         for rule in chosen:
             if not rule.applies_to(module):
@@ -395,51 +363,18 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    on_parse_error: Callable[[str, SyntaxError], None] | None = None,
-    program_paths: Sequence[str] | None = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
-    ``program_paths`` widens the *analysis* context without widening the
-    *report*: the whole-program flow rules see every module under those
-    paths (plus the linted ones), while findings are still restricted to
-    ``paths`` — the pre-commit fast path lints only changed files against
-    the full program.
+    An unparseable file raises :class:`SyntaxError`.
     """
 
-    def parse_all(targets: Iterable[str]) -> Iterator[ModuleSource]:
-        for file_path in iter_python_files(targets):
+    def parse_all() -> Iterator[ModuleSource]:
+        for file_path in iter_python_files(paths):
             with open(file_path, encoding="utf-8") as handle:
                 source = handle.read()
-            try:
-                yield ModuleSource.parse(
-                    source, path=file_path, module=module_name_for(file_path)
-                )
-            except SyntaxError as exc:
-                if on_parse_error is not None:
-                    on_parse_error(file_path, exc)
-                else:
-                    raise
+            yield ModuleSource.parse(
+                source, path=file_path, module=module_name_for(file_path)
+            )
 
-    program_modules: list[ModuleSource] | None = None
-    if program_paths is not None:
-        by_path = {m.path: m for m in parse_all(program_paths)}
-        for module in parse_all(paths):
-            by_path.setdefault(module.path, module)
-        program_modules = [by_path[key] for key in sorted(by_path)]
-        linted = {
-            os.path.normpath(p) for p in iter_python_files(paths)
-        }
-        modules: Iterable[ModuleSource] = [
-            m for m in program_modules if os.path.normpath(m.path) in linted
-        ]
-    else:
-        modules = parse_all(paths)
-
-    return lint_modules(
-        modules,
-        rules,
-        select=select,
-        ignore=ignore,
-        program_modules=program_modules,
-    )
+    return lint_modules(parse_all(), rules, select=select, ignore=ignore)

@@ -3,13 +3,12 @@
 Adding a rule = subclass :class:`repro.lint.engine.Rule` in one of the
 rule modules (or a new one) and list an instance here; the CLI, the JSON
 reporter, ``--select``/``--ignore`` validation, and the documentation
-catalog all read this tuple.
+catalog all read this tuple.  Every rule checks one module at a time.
 """
 
 from __future__ import annotations
 
 from repro.lint.engine import Rule
-from repro.lint.flow.rules import FLOW_RULES
 from repro.lint.rules.bitset import (
     BinPopcountRule,
     BitsetMaterializationRule,
@@ -22,13 +21,14 @@ from repro.lint.rules.determinism import (
 )
 from repro.lint.rules.hotpath import HotPathPurityRule
 from repro.lint.rules.layering import LAYERS, ImportLayeringRule
+from repro.lint.rules.locks import LockDisciplineRule
 from repro.lint.rules.metrics import InstrumentNameRule, MetricsFieldRule
 
-__all__ = ["ALL_RULES", "FLOW_RULES", "LAYERS", "SYNTACTIC_RULES", "rule_by_name"]
+__all__ = ["ALL_RULES", "LAYERS", "rule_by_name"]
 
-#: The per-file AST rules, in catalog order (determinism, bitset, hot
-#: path, metrics, layering).
-SYNTACTIC_RULES: tuple[Rule, ...] = (
+#: Every built-in rule, in catalog order (determinism, bitset, hot path,
+#: metrics, layering, locks).
+ALL_RULES: tuple[Rule, ...] = (
     UnseededRandomRule(),
     SetIterationOrderRule(),
     IdentityOrderingRule(),
@@ -39,11 +39,8 @@ SYNTACTIC_RULES: tuple[Rule, ...] = (
     MetricsFieldRule(),
     InstrumentNameRule(),
     ImportLayeringRule(),
+    LockDisciplineRule(),
 )
-
-#: Every built-in rule: syntactic first, then the whole-program flow
-#: rules (``flow-*``), which the engine runs through a prepare phase.
-ALL_RULES: tuple[Rule, ...] = SYNTACTIC_RULES + FLOW_RULES
 
 
 def rule_by_name(name: str) -> Rule:

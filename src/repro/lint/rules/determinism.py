@@ -11,7 +11,7 @@ rules are the static counterpart of the dynamic guarantees in
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.lint.engine import ERROR, Finding, ModuleSource, Rule
 
@@ -28,21 +28,64 @@ _GLOBAL_RANDOM_FNS = frozenset(
 )
 
 
+#: Calls whose results differ per run or per process: a seed computed
+#: from one is no seed.  Dotted prefixes match the import-resolved name,
+#: bare names its last component.
+_NONDET_CALLS = (
+    "time.", "os.urandom", "os.getpid", "uuid.", "secrets.",
+    "datetime.now", "datetime.datetime.now",
+)
+_NONDET_BARE = frozenset({"id", "hash", "perf_counter", "monotonic", "time_ns"})
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        owner = _dotted(node.value)
+        return None if owner is None else f"{owner}.{node.attr}"
+    return None
+
+
+def _seed_problem(
+    call: ast.Call, resolve: Callable[[ast.expr], str]
+) -> str | None:
+    """Why ``call``'s seed is not reproducible, or None when it is."""
+    seeds = call.args[:1] + [k.value for k in call.keywords if k.arg == "x"]
+    if not seeds or (
+        isinstance(seeds[0], ast.Constant) and seeds[0].value is None
+    ):
+        return "without a seed"
+    for sub in ast.walk(seeds[0]):
+        if isinstance(sub, ast.Call):
+            name = resolve(sub.func)
+            if name.startswith(_NONDET_CALLS) or (
+                name.rpartition(".")[2] in _NONDET_BARE
+            ):
+                return f"seeded from {name}()"
+    return None
+
+
 class UnseededRandomRule(Rule):
     """No unseeded randomness outside ``repro.workloads.seeding``.
 
-    Flags ``random.Random()`` constructed without a seed and every call to
-    the module-level ``random.*`` functions (which share one hidden,
-    unseeded global generator).  All stochastic code must thread a
-    ``random.Random`` resolved through
+    Flags a ``random.Random()`` (or ``Random()`` imported from
+    ``random``) constructed without a seed or with a seed computed from
+    a nondeterministic source (``time.*``, ``os.urandom``, ``os.getpid``,
+    ``uuid.*``, ``secrets.*``, ``datetime.now``, ``id()``, ``hash()``),
+    and every call to the module-level ``random.*`` functions (which
+    share one hidden, unseeded global generator).  Any other seed —
+    a literal, a constant, a parameter, an imported name — is clean.
+    All stochastic code must thread a ``random.Random`` resolved through
     :func:`repro.workloads.seeding.coerce_rng`.
     """
 
     name = "unseeded-random"
     severity = ERROR
     description = (
-        "unseeded random.Random() or global random.* call outside "
-        "repro.workloads.seeding"
+        "random.Random() without a seed or seeded from time/pid/entropy, "
+        "or a global random.* call, outside repro.workloads.seeding"
     )
 
     _EXEMPT = ("repro.workloads.seeding",)
@@ -51,30 +94,50 @@ class UnseededRandomRule(Rule):
         return module.module not in self._EXEMPT
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
+        # Local alias -> dotted origin, so ``from time import time`` and
+        # ``from random import Random as R`` resolve like the module form.
+        imports: dict[str, str] = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imports[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    imports[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}"
+                    )
+
+        def resolve(func: ast.expr) -> str:
+            name = _dotted(func) or ""
+            head, _, rest = name.partition(".")
+            origin = imports.get(head, head)
+            return f"{origin}.{rest}" if rest else origin
+
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "random"
-                ):
-                    if func.attr == "Random" and not node.args and not node.keywords:
+                name = resolve(node.func)
+                if name == "random.Random":
+                    problem = _seed_problem(node, resolve)
+                    if problem is not None:
                         yield module.finding(
                             self,
                             node,
-                            "random.Random() without a seed draws a fresh "
-                            "sequence per process; pass a seed or use "
+                            f"Random() {problem} draws a fresh sequence "
+                            "per process; pass a seed or use "
                             "repro.workloads.seeding.coerce_rng",
                         )
-                    elif func.attr in _GLOBAL_RANDOM_FNS:
-                        yield module.finding(
-                            self,
-                            node,
-                            f"random.{func.attr}() uses the hidden global "
-                            "generator; thread a seeded random.Random "
-                            "instead (see repro.workloads.seeding)",
-                        )
+                elif (
+                    name.startswith("random.")
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _GLOBAL_RANDOM_FNS
+                ):
+                    yield module.finding(
+                        self,
+                        node,
+                        f"random.{node.func.attr}() uses the hidden global "
+                        "generator; thread a seeded random.Random "
+                        "instead (see repro.workloads.seeding)",
+                    )
             elif isinstance(node, ast.ImportFrom) and node.module == "random":
                 bad = sorted(
                     alias.name

@@ -4,8 +4,9 @@ Each rule gets a positive fixture (the finding fires with the right name
 and severity), a negative fixture (idiomatic code stays clean), and a
 pragma-suppressed fixture.  Engine behaviour — pragma parsing, module-name
 derivation, rule selection, exit codes — is covered separately, and the
-suite ends with the gate this PR turns on: ``repro lint src/`` is clean
-at HEAD, and (where mypy is available) the strict-typed core type-checks.
+suite ends with the gates: ``repro lint src/ tests/ benchmarks/`` is
+clean, deliberately injected lock and seeding defects make it exit 1,
+and (where mypy is available) the strict-typed core type-checks.
 """
 
 import json
@@ -60,6 +61,65 @@ class TestUnseededRandom:
 
     def test_seeded_random_is_clean(self):
         assert rule_names("import random\nr = random.Random(42)\n") == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from random import Random\nr = Random()\n",
+            "import random\nr = random.Random(None)\n",
+            "import random\nimport time\n\n"
+            "def make():\n    return random.Random(time.time())\n",
+            "import os\nimport random\nr = random.Random(os.getpid() ^ 7)\n",
+            "import random\nimport uuid\nr = random.Random(uuid.uuid4().int)\n",
+            "import random\nfrom time import time_ns\n"
+            "r = random.Random(time_ns())\n",
+            "from datetime import datetime\nfrom random import Random as R\n"
+            "r = R(int(datetime.now().timestamp()))\n",
+            "import random\nr = random.Random(hash(object()))\n",
+        ],
+        ids=[
+            "imported-no-arg", "none", "time-seed", "pid-seed", "uuid-seed",
+            "time-ns-seed", "datetime-seed", "hash-seed",
+        ],
+    )
+    def test_flags_nondeterministic_seed(self, source):
+        found = findings(source)
+        assert [f.rule for f in found] == ["unseeded-random"]
+        assert found[0].severity == ERROR
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            """\
+            import random
+
+            DEFAULT_SEED = 20070611
+
+            def from_param(seed):
+                return random.Random(seed)
+
+            def from_constant():
+                return random.Random(DEFAULT_SEED)
+
+            def derived(seed, worker_index):
+                return random.Random(seed + worker_index * 7919)
+            """,
+            """\
+            import random
+
+            from pkg.seeds import DEFAULT_SEED
+
+            def make():
+                return random.Random(DEFAULT_SEED)
+            """,
+            # Unknown provenance is clean by design (documented imprecision).
+            "import random\n\ndef make(thing):\n"
+            "    return random.Random(thing.whatever())\n",
+        ],
+        ids=["seeded-pair", "imported-constant", "unknown-provenance"],
+    )
+    def test_seed_provenance_is_clean(self, source):
+        assert rule_names(source) == []
 
     def test_seeding_module_is_exempt(self):
         source = "import random\nr = random.Random()\n"
@@ -347,6 +407,151 @@ class TestImportLayering:
         assert LAYERS["repro.fastpath"] < LAYERS["repro.registry"]
 
 
+LOCK_FIXTURE = """\
+    import threading
+
+    class Shared:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._count = 0
+
+        def bump(self):
+            with self._lock:
+                self._count += 1
+
+        def read_racy(self):
+            return self._count
+
+        def write_racy(self):
+            self._count = 0
+    """
+
+
+class TestLockDiscipline:
+    def test_flags_unguarded_read_and_write(self):
+        found = findings(LOCK_FIXTURE)
+        assert [f.rule for f in found] == ["lock-discipline"] * 2
+        assert all(f.severity == ERROR for f in found)
+        assert "Shared._count is read without a lock" in found[0].message
+        assert "Shared._count is written without a lock" in found[1].message
+
+    def test_flags_attribute_guarded_by_two_locks(self):
+        found = findings(
+            """\
+            import threading
+
+            class Shared:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._aux_lock = threading.Lock()
+                    self._count = 0
+
+                def bump(self):
+                    with self._lock:
+                        self._count += 1
+
+                def bump_other(self):
+                    with self._aux_lock:
+                        self._count += 1
+            """
+        )
+        assert [f.rule for f in found] == ["lock-discipline"]
+        assert "guarded by 2 different locks" in found[0].message
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            """\
+            import threading
+
+            class Shared:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._count = 0
+
+                def bump(self):
+                    with self._lock:
+                        self._count += 1
+
+                def read(self):
+                    with self._lock:
+                        return self._count
+            """,
+            """\
+            import threading
+
+            class Shared:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._items = {}
+
+                def store(self, key, value):
+                    with self._lock:
+                        self._put(key, value)
+
+                def _put(self, key, value):
+                    self._items[key] = value
+            """,
+            # SharedBound style: with self._value.get_lock(): ...
+            """\
+            class Bound:
+                def __init__(self, context, initial):
+                    self._value = context.Value("d", initial)
+
+                def get(self):
+                    with self._value.get_lock():
+                        return self._value.value
+
+                def tighten(self, candidate):
+                    with self._value.get_lock():
+                        self._value.value = candidate
+            """,
+        ],
+        ids=["consistently-locked", "private-helper-under-lock", "get-lock"],
+    )
+    def test_is_clean(self, source):
+        assert rule_names(source) == []
+
+    def test_helper_also_called_unlocked_is_not_locked_context(self):
+        source = """\
+            import threading
+
+            class Shared:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._items = {}
+
+                def store(self, key, value):
+                    with self._lock:
+                        self._put(key, value)
+
+                def store_racy(self, key, value):
+                    self._put(key, value)
+
+                def size(self):
+                    with self._lock:
+                        return len(self._items)
+
+                def _put(self, key, value):
+                    self._items[key] = value
+            """
+        found = findings(source)
+        assert [f.rule for f in found] == ["lock-discipline"]
+        assert "Shared._items is written without a lock" in found[0].message
+
+    def test_pragma_suppresses_with_reason(self):
+        source = LOCK_FIXTURE.replace(
+            "return self._count",
+            "return self._count  "
+            "# lint: disable=lock-discipline -- latch read, torn reads benign",
+        ).replace(
+            "def write_racy(self):\n            self._count = 0",
+            "def write_racy(self):\n            self._count = 0  "
+            "# lint: disable=lock-discipline -- test fixture waiver",
+        )
+        assert rule_names(source) == []
+
+
 class TestEngine:
     def test_trailing_pragma_with_reason_keeps_rule_name_exact(self):
         """Regression: the `-- reason` suffix must not leak into the rule
@@ -408,8 +613,9 @@ class TestEngine:
 
     def test_rule_registry_is_consistent(self):
         names = [rule.name for rule in ALL_RULES]
-        assert len(names) == len(set(names)) == 22
-        assert sum(1 for name in names if name.startswith("flow-")) == 12
+        assert len(names) == len(set(names)) == 11
+        assert not any(name.startswith("flow-") for name in names)
+        assert "lock-discipline" in names
         for name in names:
             assert rule_by_name(name).name == name
         with pytest.raises(KeyError):
@@ -486,14 +692,70 @@ class TestCli:
             assert rule.name in out
 
 
-class TestRepoGate:
-    """The bar this PR raises: the tree itself passes its own analysis."""
+def _inject(source, anchor, old, new):
+    """``source`` with ``old`` replaced by ``new`` after ``anchor``."""
+    at = source.index(anchor)
+    assert old in source[at:]
+    return source[:at] + source[at:].replace(old, new, 1)
 
-    def test_src_tree_is_lint_clean(self):
-        report = lint_paths(["src"])
-        assert report.files_checked > 80
+
+class TestRepoGate:
+    """The tree passes its own analysis, and injected defects do not."""
+
+    def test_repo_is_fully_clean_including_benchmarks(self):
+        report = lint_paths(["src", "tests", "benchmarks"])
+        assert report.files_checked > 150
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.findings == [], f"lint findings at HEAD:\n{rendered}"
+
+    @pytest.mark.parametrize(
+        "path,anchor,old,new,message",
+        [
+            (
+                "src/repro/memo.py",
+                "class GlobalPlanCache",
+                "\n    def ",
+                "\n    def racy_poke(self, key, names):\n"
+                "        self._name_maps[key] = names\n\n    def ",
+                "GlobalPlanCache._name_maps is written without a lock",
+            ),
+            (
+                "src/repro/serve/stats.py",
+                "def requests(self)",
+                "        with self._lock:\n            return self._requests",
+                "        return self._requests",
+                "ServiceStats._requests is read without a lock",
+            ),
+        ],
+        ids=["GlobalPlanCache-write", "ServiceStats-read"],
+    )
+    def test_injected_unlocked_access_fails_lint(
+        self, tmp_path, capsys, path, anchor, old, new, message
+    ):
+        source = open(path, encoding="utf-8").read()
+        copy = tmp_path / path.rsplit("/", 1)[1]
+        copy.write_text(source)
+        assert cli_main(["lint", str(copy)]) == 0, "pristine copy must lint clean"
+        copy.write_text(_inject(source, anchor, old, new))
+        capsys.readouterr()
+        assert cli_main(["lint", str(copy)]) == 1
+        out = capsys.readouterr().out
+        assert "lock-discipline" in out and message in out
+
+    def test_injected_unseeded_hotpath_rng_fails_lint(self, tmp_path, capsys):
+        pkg = tmp_path / "repro" / "enumerator"
+        pkg.mkdir(parents=True)
+        helper = pkg / "jitter.py"
+        helper.write_text(
+            "import random\n\n"
+            "def _jitter():\n"
+            "    return random.Random()\n\n"
+            "def _calc_best_join(xs):\n"
+            "    rng = _jitter()\n"
+            "    return rng\n"
+        )
+        assert cli_main(["lint", str(helper)]) == 1
+        assert "unseeded-random" in capsys.readouterr().out
 
     def test_mypy_strict_core_is_clean(self):
         pytest.importorskip("mypy")

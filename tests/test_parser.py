@@ -1,8 +1,11 @@
 """Tests for the query DSL parser."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.parser import QuerySyntaxError, parse_query
+from repro.catalog.query import Query
 from repro.registry import optimize
 
 TPCH_ISH = (
@@ -144,10 +147,27 @@ class TestErrorPositions:
         err = self._fail("; a-b:0.5")
         assert err.position == 0
 
-    def test_semantic_error_has_no_position(self):
-        err = self._fail("a(1) b(2) c(3) d(4); a-b:0.5 c-d:0.5")
-        assert err.position is None
-        assert err.line is None and err.column is None
+    def test_missing_semicolon_points_at_end_of_input(self):
+        text = "a(10) b(20)"
+        err = self._fail(text)
+        assert err.position == len(text)
+        assert (err.line, err.column) == (1, len(text) + 1)
+
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            ("a(1) b(2) c(3) d(4); a-b:0.5 c-d:0.5", "c(3)"),
+            ("a(10) b(20) c(3); a-b:0.1", "c(3)"),
+            ("a(1) b(2) c(3); b-c:0.5", "b(2)"),
+        ],
+        ids=["two-components", "isolated-last", "isolated-first"],
+    )
+    def test_disconnected_graph_points_at_first_unreachable_relation(
+        self, text, token
+    ):
+        err = self._fail(text)
+        assert "connected" in err.message
+        assert err.position == text.index(token)
 
     def test_to_dict_roundtrip(self):
         err = self._fail("a(ten); ")
@@ -161,3 +181,36 @@ class TestErrorPositions:
         err = self._fail("a(ten); ")
         assert str(err) == err.message
         assert ";" not in str(err) or "expected" not in str(err)
+
+
+#: Characters the DSL is written in, plus whitespace and a stray ``#``.
+DSL_ALPHABET = "abc_()-:;.e019 \n#"
+#: Well-formed fragments, so draws also reach the semantic checks.
+DSL_TOKENS = st.sampled_from(
+    ["a(10)", "b(20)", "c(3)", "a-b:0.1", "b-c:0.5", "a-c:1", ";"]
+)
+
+
+class TestErrorPositionProperty:
+    """Every input either parses or gets a positioned error."""
+
+    @settings(max_examples=300, deadline=None)
+    @example("a(10) b(20)")
+    @example("a(10) b(20) c(3); a-b:0.1")
+    @given(
+        st.one_of(
+            st.text(alphabet=DSL_ALPHABET, max_size=40),
+            st.lists(
+                DSL_TOKENS | st.text(alphabet=DSL_ALPHABET, max_size=6),
+                max_size=8,
+            ).map(" ".join),
+        )
+    )
+    def test_parses_or_raises_positioned_error(self, text):
+        try:
+            query = parse_query(text)
+        except QuerySyntaxError as err:
+            assert err.position is not None, err.message
+            assert 0 <= err.position <= len(text)
+        else:
+            assert isinstance(query, Query)
